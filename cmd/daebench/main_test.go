@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -181,6 +183,39 @@ func TestRemoteByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(local.Bytes(), warm.Bytes()) {
 		t.Fatal("warm remote stdout differs from local")
+	}
+}
+
+// goldenExpAllDigest is the SHA-256 of the complete `daebench -exp all`
+// standard output: every table and figure of the evaluation, computed from
+// the default configuration.
+const goldenExpAllDigest = "969b1b9f828caae127bbe65f721aba60d3273172023934b561624c8b2eb2885b"
+
+// TestGoldenExpAll pins the full evaluation output, and requires the remote
+// path (trace sets fetched from daed, decoded and evaluated client-side) to
+// reproduce it byte for byte.
+func TestGoldenExpAll(t *testing.T) {
+	if testing.Short() {
+		t.Skip("collects all benchmarks twice")
+	}
+	var local, localErr bytes.Buffer
+	if code := run([]string{"-exp", "all"}, &local, &localErr); code != 0 {
+		t.Fatalf("local run exit = %d; stderr:\n%s", code, localErr.String())
+	}
+	sum := sha256.Sum256(local.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != goldenExpAllDigest {
+		t.Errorf("-exp all digest %s, want %s", got, goldenExpAllDigest)
+	}
+
+	srv := daed.New(daed.Config{Workers: 2, Dir: t.TempDir()})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	var remote, remoteErr bytes.Buffer
+	if code := run([]string{"-exp", "all", "-server", ts.URL}, &remote, &remoteErr); code != 0 {
+		t.Fatalf("remote run exit = %d; stderr:\n%s", code, remoteErr.String())
+	}
+	if !bytes.Equal(local.Bytes(), remote.Bytes()) {
+		t.Fatal("remote -exp all output differs from local")
 	}
 }
 
