@@ -51,8 +51,12 @@ type traceArtifact struct {
 	Degraded bool              `json:"degraded,omitempty"`
 }
 
-// simulateRequest projects the trace request onto the simulate planner —
-// same validation, same defaults — then rekeys the plan under the trace/
+// traceKeyPrefix namespaces trace artifacts. v2 carries binary-encoded
+// traces; an artifact written under v1 (inline JSON traces) is never read.
+const traceKeyPrefix = "trace/v2;"
+
+// plan projects the trace request onto the simulate planner — same
+// validation, same defaults — then rekeys the plan under the trace/
 // namespace (traces are frequency-independent, so ZeroLatency never
 // appears here).
 func (req *TraceRequest) plan() (*simPlan, error) {
@@ -64,7 +68,7 @@ func (req *TraceRequest) plan() (*simPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.key = "trace/v1;" + p.key
+	p.key = traceKeyPrefix + p.key
 	return p, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -25,8 +26,9 @@ import (
 // refined re-trace reuses the coupled and manual runs it does not change.
 //
 // The cache is safe for concurrent use. With a non-empty directory, entries
-// additionally persist to disk as versioned JSON envelopes, so separate
-// daebench invocations skip re-simulation entirely.
+// additionally persist to disk as versioned JSON envelopes carrying the
+// binary-encoded trace, so separate daebench invocations skip re-simulation
+// entirely.
 type TraceCache struct {
 	dir string
 	mu  sync.Mutex
@@ -70,8 +72,9 @@ func runKey(app string, kind runKind, cfg rt.TraceConfig, refine *RefineSpec) st
 // supervision fields (trace format v2, Degrade in the fingerprint); v4 marks
 // the bytecode execution engine becoming the default tracer (engines are
 // byte-identical, so Engine itself stays out of the fingerprint — the bump
-// just retires entries written before the differential tests enforced that).
-const cacheVersion = 4
+// just retires entries written before the differential tests enforced that);
+// v5 replaced the inline JSON trace with the binary trace format.
+const cacheVersion = 5
 
 // saveAttempts is how many times a failed envelope write is tried in total;
 // disk writes are best-effort (the cache degrades to memory-only) but
@@ -88,13 +91,13 @@ type envelope struct {
 	Version int                      `json:"version"`
 	Key     string                   `json:"key"`
 	Sum     string                   `json:"sum"`
-	Trace   json.RawMessage          `json:"trace"`
+	Trace   []byte                   `json:"trace"`
 	Results map[string]ResultSummary `json:"results,omitempty"`
 }
 
 // contentSum computes the envelope's content checksum over the trace bytes
 // and the (deterministically marshaled) results map.
-func contentSum(trace json.RawMessage, results map[string]ResultSummary) (string, error) {
+func contentSum(trace []byte, results map[string]ResultSummary) (string, error) {
 	h := sha256.New()
 	h.Write(trace)
 	if results != nil {
@@ -201,12 +204,16 @@ func (tc *TraceCache) load(key string) (*runOutput, error) {
 		return nil, err
 	}
 	var env envelope
-	if err := json.Unmarshal(b, &env); err != nil {
+	err = json.Unmarshal(b, &env)
+	var typeErr *json.UnmarshalTypeError
+	if (err == nil || errors.As(err, &typeErr)) && (env.Version != cacheVersion || env.Key != key) {
+		// A stale or foreign entry is a clean miss, including a pre-v5 one
+		// whose inline JSON trace no longer fits the trace field.
+		return nil, nil
+	}
+	if err != nil {
 		// A torn write leaves unparseable JSON: classify as corruption.
 		return nil, fault.Wrap(fault.KindCacheCorrupt, err)
-	}
-	if env.Version != cacheVersion || env.Key != key {
-		return nil, nil
 	}
 	sum, err := contentSum(env.Trace, env.Results)
 	if err != nil {
@@ -242,19 +249,8 @@ func (tc *TraceCache) save(key string, out *runOutput) error {
 			env.Results[name] = summarizeResult(r)
 		}
 	}
-	// Marshaling the envelope re-compacts the embedded raw trace (an
-	// encoder's trailing newline, whitespace, HTML escaping), so the bytes a
-	// later load sees are not raw. Round-trip once and checksum the stored
-	// form — the form load validates against.
-	pre, err := json.Marshal(env)
-	if err != nil {
-		return err
-	}
-	var stored envelope
-	if err := json.Unmarshal(pre, &stored); err != nil {
-		return err
-	}
-	env.Sum, err = contentSum(stored.Trace, stored.Results)
+	// The trace travels as base64, so load sees exactly these bytes.
+	env.Sum, err = contentSum(env.Trace, env.Results)
 	if err != nil {
 		return err
 	}

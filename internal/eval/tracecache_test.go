@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -81,9 +82,8 @@ func TestTraceCacheDiskRoundtrip(t *testing.T) {
 
 // TestTraceCacheFreshEntryLoads: every entry a collection just wrote must
 // load back with a valid checksum. Guards against checksumming a different
-// byte form than the one stored (the envelope marshal re-compacts the
-// embedded raw trace) — that bug silently degraded every warm run to a full
-// re-simulation, which no output-equality test can catch.
+// byte form than the one stored — that bug silently degrades every warm run
+// to a full re-simulation, which no output-equality test can catch.
 func TestTraceCacheFreshEntryLoads(t *testing.T) {
 	app, err := bench.AppByName("LibQ")
 	if err != nil {
@@ -233,6 +233,88 @@ func TestTraceCacheChecksumMismatch(t *testing.T) {
 	}
 	if !reflect.DeepEqual(first.Auto, second.Auto) || !reflect.DeepEqual(first.CAE, second.CAE) {
 		t.Error("recollected traces differ from the originals")
+	}
+}
+
+// TestTraceCachePreBinaryEnvelopeIsCleanMiss: an entry written before the
+// binary trace format (cache version 4, the trace inline as JSON, a valid
+// checksum) is a stale entry, not a corrupt one: load reports a plain miss,
+// and the collection recomputes and overwrites it in the current format.
+func TestTraceCachePreBinaryEnvelopeIsCleanMiss(t *testing.T) {
+	app, err := bench.AppByName("LibQ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := rt.DefaultTraceConfig()
+	dir := t.TempDir()
+	first, err := CollectWith(context.Background(), app, cfg, CollectOptions{Cache: NewTraceCache(dir)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type preBinaryEnvelope struct {
+		Version int                      `json:"version"`
+		Key     string                   `json:"key"`
+		Sum     string                   `json:"sum"`
+		Trace   json.RawMessage          `json:"trace"`
+		Results map[string]ResultSummary `json:"results,omitempty"`
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for _, e := range entries {
+		path := filepath.Join(dir, e.Name())
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env envelope
+		if err := json.Unmarshal(b, &env); err != nil {
+			t.Fatal(err)
+		}
+		tr, err := rt.DecodeTrace(env.Trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var js bytes.Buffer
+		if err := rt.SaveTrace(&js, tr); err != nil {
+			t.Fatal(err)
+		}
+		old := preBinaryEnvelope{Version: 4, Key: env.Key, Trace: bytes.TrimSpace(js.Bytes()), Results: env.Results}
+		if old.Sum, err = contentSum(old.Trace, old.Results); err != nil {
+			t.Fatal(err)
+		}
+		nb, err := json.Marshal(old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, nb, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, env.Key)
+	}
+	if len(keys) != 3 {
+		t.Fatalf("rewrote %d entries, want 3", len(keys))
+	}
+	tc := NewTraceCache(dir)
+	for _, key := range keys {
+		if out, err := tc.load(key); out != nil || err != nil {
+			t.Errorf("load(%q) = (%v, %v), want a clean miss", key, out, err)
+		}
+	}
+	second, err := CollectWith(context.Background(), app, cfg, CollectOptions{Cache: tc})
+	if err != nil {
+		t.Fatalf("pre-binary entries must be treated as misses, got: %v", err)
+	}
+	if !reflect.DeepEqual(first.Auto, second.Auto) || !reflect.DeepEqual(first.CAE, second.CAE) {
+		t.Error("recollected traces differ from the originals")
+	}
+	fresh := NewTraceCache(dir)
+	for _, key := range keys {
+		if out, err := fresh.load(key); out == nil || err != nil {
+			t.Errorf("load(%q) after recollection = (%v, %v), want the rewritten entry", key, out, err)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"dae/internal/dae"
@@ -57,15 +56,16 @@ func (rj ResultSummary) result() *dae.Result {
 	}
 }
 
-// AppDataWire is the JSON wire form of one AppData: the three encoded
-// traces plus the compiler's per-task result summaries. It is what daed's
-// POST /v1/trace returns, letting a remote daebench reconstruct the exact
-// trace set a local collection would produce and evaluate it client-side.
+// AppDataWire is the JSON wire form of one AppData: the three traces in
+// rt.EncodeTrace's binary format (base64 strings in JSON) plus the
+// compiler's per-task result summaries. It is what daed's POST /v1/trace
+// returns, letting a remote daebench reconstruct the exact trace set a
+// local collection would produce and evaluate it client-side.
 type AppDataWire struct {
 	Name    string                   `json:"name"`
-	CAE     json.RawMessage          `json:"cae"`
-	Manual  json.RawMessage          `json:"manual"`
-	Auto    json.RawMessage          `json:"auto"`
+	CAE     []byte                   `json:"cae"`
+	Manual  []byte                   `json:"manual"`
+	Auto    []byte                   `json:"auto"`
 	Results map[string]ResultSummary `json:"results,omitempty"`
 }
 

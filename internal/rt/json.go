@@ -1,7 +1,6 @@
 package rt
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -26,7 +25,9 @@ type traceJSON struct {
 const traceVersion = 2
 
 // SaveTrace writes the trace as JSON. Saved traces let external tooling (or
-// later runs) re-evaluate frequency policies without re-simulating.
+// later runs) re-evaluate frequency policies without re-simulating. JSON is
+// the export format only; traces move between processes in the binary
+// format of EncodeTrace.
 func SaveTrace(w io.Writer, tr *Trace) error {
 	enc := json.NewEncoder(w)
 	return enc.Encode(traceJSON{
@@ -40,21 +41,6 @@ func SaveTrace(w io.Writer, tr *Trace) error {
 	})
 }
 
-// EncodeTrace returns the trace in SaveTrace's JSON encoding as a byte
-// slice, for embedding in larger documents (e.g. trace-cache entries).
-func EncodeTrace(tr *Trace) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := SaveTrace(&buf, tr); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeTrace parses a trace produced by EncodeTrace (or SaveTrace).
-func DecodeTrace(b []byte) (*Trace, error) {
-	return LoadTrace(bytes.NewReader(b))
-}
-
 // LoadTrace reads a trace saved with SaveTrace.
 func LoadTrace(r io.Reader) (*Trace, error) {
 	var tj traceJSON
@@ -64,23 +50,16 @@ func LoadTrace(r io.Reader) (*Trace, error) {
 	if tj.Version < 1 || tj.Version > traceVersion {
 		return nil, fmt.Errorf("rt: unsupported trace version %d", tj.Version)
 	}
-	if tj.Cores <= 0 {
-		return nil, fmt.Errorf("rt: trace has invalid core count %d", tj.Cores)
-	}
-	for i, rec := range tj.Records {
-		if rec.Core < 0 || rec.Core >= tj.Cores {
-			return nil, fmt.Errorf("rt: record %d has core %d outside [0,%d)", i, rec.Core, tj.Cores)
-		}
-		if rec.Batch < 0 || rec.Batch >= tj.NumBatches {
-			return nil, fmt.Errorf("rt: record %d has batch %d outside [0,%d)", i, rec.Batch, tj.NumBatches)
-		}
-	}
-	return &Trace{
+	tr := &Trace{
 		Workload:    tj.Workload,
 		Decoupled:   tj.Decoupled,
 		Cores:       tj.Cores,
 		NumBatches:  tj.NumBatches,
 		Records:     tj.Records,
 		Quarantined: tj.Quarantined,
-	}, nil
+	}
+	if err := tr.validate(); err != nil {
+		return nil, err
+	}
+	return tr, nil
 }

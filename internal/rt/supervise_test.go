@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
@@ -260,11 +261,11 @@ func TestTraceJSONRoundTripsSupervisionFields(t *testing.T) {
 		},
 		Quarantined: map[string]string{"a": "trap"},
 	}
-	b, err := EncodeTrace(tr)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := SaveTrace(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeTrace(b)
+	got, err := LoadTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
