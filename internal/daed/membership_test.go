@@ -161,11 +161,17 @@ func TestMembershipJoinAndGossip(t *testing.T) {
 	a := bootMember(t, nil, -1)
 	b := bootMember(t, []string{a.url}, -1)
 	// b booted knowing a, but a booted alone: converge them via a join so
-	// both sides agree before growing further.
+	// both sides agree before growing further. The next change goes through
+	// b, so wait until b holds this view: a change minted from a stale view
+	// races this one at the same epoch, and one of the two is dropped.
 	ctx := context.Background()
-	if _, err := (&daed.Client{Base: a.url}).Join(ctx, b.url); err != nil {
+	first, err := (&daed.Client{Base: a.url}).Join(ctx, b.url)
+	if err != nil {
 		t.Fatalf("join b: %v", err)
 	}
+	waitFor(t, 5*time.Second, "b adopts the first join", func() bool {
+		return ringOf(t, b.url).Epoch == first.Epoch
+	})
 	c := bootMember(t, nil, -1)
 	mr, err := (&daed.Client{Base: b.url}).Join(ctx, c.url)
 	if err != nil {
@@ -323,10 +329,17 @@ func TestAntiEntropyPushesAndDrops(t *testing.T) {
 	waitFor(t, 10*time.Second, "repair drop of the stray copy", func() bool {
 		return !hasKey(t, outsider.url, key)
 	})
-	st := outsider.srv.Stats()
-	if st.RepairPushed < 2 {
-		t.Fatalf("repair pushed %d installs, want >= 2", st.RepairPushed)
+	// Two installs are needed. The outsider pushes to the owners one at a
+	// time, so the first owner's own repair round may install the second
+	// copy before the outsider gets to it: count installs cluster-wide.
+	var pushed int64
+	for _, n := range nodes {
+		pushed += n.srv.Stats().RepairPushed
 	}
+	if pushed < 2 {
+		t.Fatalf("repair pushed %d installs across the cluster, want >= 2", pushed)
+	}
+	st := outsider.srv.Stats()
 	if st.RepairDropped < 1 {
 		t.Fatalf("repair dropped %d keys, want >= 1", st.RepairDropped)
 	}
@@ -520,7 +533,10 @@ func TestMembershipChurnDrill(t *testing.T) {
 		BackoffSeed:    13,
 	})
 
-	// Phase 1: warm the cluster and wait for write-behind replication.
+	// Phase 1: warm the cluster and wait for write-behind replication. The
+	// client may land on either owner, and whichever executes replicates to
+	// the other, so wait for both owners to hold the key rather than for an
+	// install on a particular node.
 	warm, err := cl.Simulate(ctx, "drill", req)
 	if err != nil {
 		t.Fatalf("warm request: %v", err)
@@ -531,8 +547,11 @@ func TestMembershipChurnDrill(t *testing.T) {
 	waitFor(t, 15*time.Second, "write-behind replication", func() bool {
 		var in int64
 		for _, n := range nodes {
-			if n != victim {
-				in += n.srv.Stats().ReplicatedIn
+			in += n.srv.Stats().ReplicatedIn
+		}
+		for _, o := range rg.Nodes(key, 2) {
+			if !hasKey(t, o, key) {
+				return false
 			}
 		}
 		return in >= 1
@@ -563,9 +582,10 @@ func TestMembershipChurnDrill(t *testing.T) {
 	}
 	px.Heal()
 
-	// Phase 3: kill the key's primary outright and keep writing through the
-	// degraded cluster.
+	// Phase 3: kill the key's primary outright (listener and background
+	// loops) and keep writing through the degraded cluster.
 	victim.hs.Close()
+	victim.srv.Close()
 	for i := 0; i < 6; i++ {
 		resp, err := cl.Simulate(ctx, "drill", req)
 		if err != nil {
@@ -576,29 +596,56 @@ func TestMembershipChurnDrill(t *testing.T) {
 		}
 	}
 
-	// Phase 4: remove the dead node at the next epoch, then join a cold
-	// replacement at the one after.
-	var admin *memberNode
+	// Phase 4: remove the dead node at the next epoch. The two survivors
+	// now own every key, but each key the victim co-owned sits on only one
+	// of them — at least the warm key, which the third node never stored —
+	// so anti-entropy is the only route back to R=2: no client request
+	// touches these keys, and the dead node hands nothing off.
+	var survivors []*memberNode
 	for _, n := range nodes {
 		if n != victim {
-			admin = n
-			break
+			survivors = append(survivors, n)
 		}
 	}
-	if _, err := (&daed.Client{Base: admin.url}).Leave(ctx, victim.url); err != nil {
+	admin := survivors[0]
+	lv, err := (&daed.Client{Base: admin.url}).Leave(ctx, victim.url)
+	if err != nil {
 		t.Fatalf("leave dead node: %v", err)
 	}
+	all := append([]string{key}, seeded...)
+	waitFor(t, 10*time.Second, "epoch convergence after leave", func() bool {
+		for _, n := range survivors {
+			if ringOf(t, n.url).Epoch != lv.Epoch {
+				return false
+			}
+		}
+		return true
+	})
+	waitFor(t, 30*time.Second, "anti-entropy restores R=2 on the survivors", func() bool {
+		for _, k := range all {
+			for _, n := range survivors {
+				if !hasKey(t, n.url, k) {
+					return false
+				}
+			}
+		}
+		return true
+	})
+	var pushed int64
+	for _, n := range survivors {
+		pushed += n.srv.Stats().RepairPushed
+	}
+	if pushed < 1 {
+		t.Fatalf("repair pushed %d installs across the survivors, want >= 1", pushed)
+	}
+
+	// Then join a cold replacement at the next epoch.
 	replacement := bootMember(t, nil, 150*time.Millisecond)
 	mr, err := (&daed.Client{Base: admin.url}).Join(ctx, replacement.url)
 	if err != nil {
 		t.Fatalf("join replacement: %v", err)
 	}
-	final := []*memberNode{replacement}
-	for _, n := range nodes {
-		if n != victim {
-			final = append(final, n)
-		}
-	}
+	final := append([]*memberNode{replacement}, survivors...)
 	waitFor(t, 10*time.Second, "epoch convergence after churn", func() bool {
 		for _, n := range final {
 			if ringOf(t, n.url).Epoch != mr.Epoch {
@@ -608,12 +655,11 @@ func TestMembershipChurnDrill(t *testing.T) {
 		return true
 	})
 
-	// Phase 5: anti-entropy alone restores R=2 for every journaled key — no
+	// Phase 5: R=2 holds for every journaled key under the final view — no
 	// client request touches them. The replacement booted with an empty
-	// store, so every key it now owns must arrive via repair (or warmup).
+	// store, so every key it now owns must arrive via warmup or repair.
 	rg3 := ring.New(mr.Members, 0, daed.DefaultRingSeed)
-	all := append([]string{key}, seeded...)
-	waitFor(t, 30*time.Second, "anti-entropy restores R=2", func() bool {
+	waitFor(t, 30*time.Second, "R=2 under the final view", func() bool {
 		for _, k := range all {
 			for _, o := range rg3.Nodes(k, 2) {
 				if !hasKey(t, o, k) {
@@ -623,13 +669,6 @@ func TestMembershipChurnDrill(t *testing.T) {
 		}
 		return true
 	})
-	var pushed int64
-	for _, n := range final {
-		pushed += n.srv.Stats().RepairPushed
-	}
-	if pushed < 1 {
-		t.Fatalf("repair pushed %d installs across the cluster, want >= 1", pushed)
-	}
 
 	// Phase 6: read-repair fires on a misplaced hit. A fresh sim-keyed
 	// envelope lands on its non-owner; serving it installs on the owners.

@@ -43,14 +43,24 @@ type Ring struct {
 }
 
 // hash64 hashes the parts with FNV-1a, separated so ("ab","c") and
-// ("a","bc") land differently.
+// ("a","bc") land differently, then runs the sum through the murmur3 64-bit
+// finalizer. FNV-1a alone barely moves the high bits for inputs that differ
+// only in their last bytes, so keys like "x-01".."x-24" would bunch into one
+// short arc of the ring and land on the same owners; the finalizer is a
+// bijection that spreads every input bit over the whole word.
 func hash64(parts ...string) uint64 {
 	h := fnv.New64a()
 	for _, p := range parts {
 		h.Write([]byte(p))
 		h.Write([]byte{0})
 	}
-	return h.Sum64()
+	x := h.Sum64()
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
 }
 
 // New builds a ring over nodes with vnodes virtual nodes per member (<= 0
@@ -160,8 +170,10 @@ func (r *Ring) Fractions() map[string]float64 {
 		return map[string]float64{}
 	}
 	out := make(map[string]float64, len(r.nodes))
-	if len(r.points) == 1 {
-		out[r.nodes[r.points[0].node]] = 1
+	if len(r.nodes) == 1 {
+		// The lone member owns the whole ring; summing its arcs in float64
+		// can round to just above 1.
+		out[r.nodes[0]] = 1
 		return out
 	}
 	// Accumulate in float64: individual arcs fit a uint64 but their total is
