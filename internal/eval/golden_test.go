@@ -67,3 +67,29 @@ func TestGoldenTraceDigests(t *testing.T) {
 		}
 	}
 }
+
+// goldenReportDigests pins the rendered single-app report — the text daerun
+// prints and daed returns in every /v1/simulate response — as the SHA-256 of
+// FormatRunReport under the default machine, one entry per app.
+var goldenReportDigests = map[string]string{
+	"LU":       "2caf04efd46d900cf1654045f80da662c2e06d92382bb3901670f14b518743ff",
+	"Cholesky": "a4ec36ee90b55ab10814ec5d5123aa2b1a8b2c0e21ab27cedfb1a5d1db195670",
+	"FFT":      "3910e2ad524405b99692cfa9d4cf2584cdea600afe6e48181d4468cc2b875b0b",
+	"LBM":      "32364a5ec6e2b8bf310aa6d69ab008f49c901722c4ea77c82454bc9523cdb286",
+	"LibQ":     "317faecb671a4b02dfd7bb5509d9aad9b443372685476f462863847699d13f64",
+	"Cigar":    "d95854d3bf0b83b748c2dab90db559b75ef42f1539e735bea77ac75dcf48e57b",
+	"CG":       "5ba603b49e33221646a53230a9ea11bae7dd12943c08598ac6a291a16b4b822c",
+}
+
+func TestGoldenReportDigests(t *testing.T) {
+	data := collect(t)
+	if len(data) != len(goldenReportDigests) {
+		t.Errorf("collected %d apps, %d pinned", len(data), len(goldenReportDigests))
+	}
+	for _, d := range data {
+		sum := sha256.Sum256([]byte(FormatRunReport(d, rt.DefaultMachine())))
+		if got, want := hex.EncodeToString(sum[:]), goldenReportDigests[d.Name]; got != want {
+			t.Errorf("%s: report digest %s, want %s", d.Name, got, want)
+		}
+	}
+}
