@@ -82,7 +82,13 @@ func threadEmptyBlocks(f *ir.Func) int {
 		if !ok || len(preds[b]) == 0 {
 			continue
 		}
-		for _, p := range preds[b] {
+		for i, p := range preds[b] {
+			if blockIn(preds[b][:i], p) {
+				// A duplicate edge (p branches to b on both arms): the first
+				// visit retargeted every arm and gave each phi its one
+				// incoming value from p.
+				continue
+			}
 			t := p.Term()
 			for i, tgt := range t.Targets() {
 				if tgt == b {
