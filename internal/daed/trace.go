@@ -2,15 +2,10 @@ package daed
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
-	"io"
 	"net/http"
-	"time"
 
 	daepass "dae/internal/dae"
 	"dae/internal/eval"
-	"dae/internal/fault"
 )
 
 // TraceRequest asks the server for one app's full collected trace set (the
@@ -81,140 +76,65 @@ func (req *TraceRequest) Key() (string, error) {
 	return p.key, nil
 }
 
-func (req *TraceRequest) timeout(def, max time.Duration) time.Duration {
-	d := def
-	if req.TimeoutMs > 0 {
-		d = time.Duration(req.TimeoutMs) * time.Millisecond
-	}
-	if max > 0 && d > max {
-		d = max
-	}
-	return d
-}
-
-// handleTrace serves POST /v1/trace.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	s.stats.requests.Add(1)
-	if s.draining.Load() {
-		s.rejectDraining(w)
-		return
-	}
-	var req TraceRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		s.writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad request: " + err.Error(), Class: "parse"})
-		return
-	}
-	req.MaxSteps = s.clampSteps(req.MaxSteps)
-	p, err := req.plan()
-	if err != nil {
-		s.writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error(), Class: "parse"})
-		return
-	}
-	s.store.Pin(p.key)
-	defer s.store.Unpin(p.key)
-	ctx, cancel := context.WithTimeout(r.Context(), req.timeout(s.cfg.DefaultTimeout, s.cfg.MaxTimeout))
-	defer cancel()
-
-	v := s.clusterView()
-	if b, ok := s.store.Get(p.key); ok {
-		var art traceArtifact
-		if err := json.Unmarshal(b, &art); err == nil {
-			s.stats.storeHits.Add(1)
-			s.respondTrace(w, &art, p.key, true, false, start)
-			s.maybeReadRepair(v, p.key, b)
-			return
-		}
-	}
-	if s.notOwnerRedirect(w, r, v, p.key) {
-		return
-	}
-	if b, ok := s.pullFromReplicas(ctx, v, p.key); ok {
-		var art traceArtifact
-		if err := json.Unmarshal(b, &art); err == nil {
-			s.stats.storeHits.Add(1)
-			s.respondTrace(w, &art, p.key, true, false, start)
-			return
-		}
-	}
-	if v != nil && s.proxy(w, r.WithContext(ctx), v, "/v1/trace", p.key, &req) {
-		return
-	}
-	for {
-		f, leader := s.traceFlights.join(p.key, func(pctx context.Context) (*traceArtifact, error) {
-			return s.runTrace(pctx, p)
-		})
-		art, err := f.wait(ctx)
-		if err != nil {
-			if !leader && errors.Is(err, fault.ErrTimeout) && ctx.Err() == nil {
-				continue
+// traceKind is the POST /v1/trace endpoint. Trace requests carry no
+// injection and no tenant route. Clean trace sets enter the shared store and
+// replicate; degraded sets (transient runtime faults) are returned but never
+// stored, mirroring the trace cache's own rule.
+func (s *Server) traceKind() artifactKind[traceArtifact] {
+	return artifactKind[traceArtifact]{
+		path: "/v1/trace",
+		plan: func(r *http.Request) (*job[traceArtifact], error) {
+			var req TraceRequest
+			if err := decode(r, &req); err != nil {
+				return nil, err
 			}
-			s.writeError(w, r, err)
-			return
-		}
-		if !leader {
-			s.stats.collapsed.Add(1)
-		}
-		s.respondTrace(w, art, p.key, false, !leader, start)
-		return
+			req.MaxSteps = s.clampSteps(req.MaxSteps)
+			p, err := req.plan()
+			if err != nil {
+				return nil, err
+			}
+			return &job[traceArtifact]{
+				key:       p.key,
+				timeoutMs: req.TimeoutMs,
+				req:       &req,
+				run:       func(ctx context.Context) (traceArtifact, error) { return s.runTrace(ctx, p) },
+				respond: func(art traceArtifact, cacheHit, collapsed bool, elapsedMs float64) any {
+					if art.Degraded {
+						s.stats.degraded.Add(1)
+					}
+					return &TraceResponse{
+						Data:      art.Data,
+						Degraded:  art.Degraded,
+						CacheHit:  cacheHit,
+						Collapsed: collapsed,
+						Key:       p.key,
+						ElapsedMs: elapsedMs,
+					}
+				},
+			}, nil
+		},
+		storable: func(art traceArtifact) bool { return !art.Degraded },
 	}
 }
 
-func (s *Server) respondTrace(w http.ResponseWriter, art *traceArtifact, key string, cacheHit, collapsed bool, start time.Time) {
-	if art.Degraded {
-		s.stats.degraded.Add(1)
-	}
-	resp := &TraceResponse{
-		Data:      art.Data,
-		Degraded:  art.Degraded,
-		CacheHit:  cacheHit,
-		Collapsed: collapsed,
-		Key:       key,
-		ElapsedMs: float64(time.Since(start)) / float64(time.Millisecond),
-	}
-	s.stats.observe(resp.ElapsedMs)
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
-// runTrace collects one app's trace set under the admission-controlled
-// queue and encodes it for the wire. Clean sets enter the shared store and
-// replicate; degraded sets (transient runtime faults) are returned but
-// never stored, mirroring the trace cache's own rule.
-func (s *Server) runTrace(ctx context.Context, p *simPlan) (*traceArtifact, error) {
-	if err := s.q.acquire(ctx); err != nil {
-		return nil, err
-	}
-	defer s.q.release()
-	s.stats.executions.Add(1)
-	s.stats.inFlight.Add(1)
-	defer s.stats.inFlight.Add(-1)
-	ctx, cancel := context.WithTimeout(ctx, s.cfg.MaxRunTime)
-	defer cancel()
-
+// runTrace collects one app's trace set and encodes it for the wire.
+func (s *Server) runTrace(ctx context.Context, p *simPlan) (traceArtifact, error) {
 	opts := eval.CollectOptions{Workers: s.cfg.RunWorkers, Cache: s.traces}
 	if p.refine {
 		opts.Refine = &eval.RefineSpec{Options: daepass.DefaultRefine(), PerTask: 4}
 	}
 	data, err := eval.CollectWith(ctx, p.app, p.cfg, opts)
 	if err != nil {
-		return nil, err
+		return traceArtifact{}, err
 	}
 	wire, err := eval.EncodeAppData(data)
 	if err != nil {
-		return nil, err
+		return traceArtifact{}, err
 	}
-	art := &traceArtifact{Data: wire}
+	art := traceArtifact{Data: wire}
 	for _, row := range eval.DegradationRows([]*eval.AppData{data}) {
 		if len(row.Quarantined) > 0 || row.FailedTasks > 0 {
 			art.Degraded = true
-		}
-	}
-	if !art.Degraded {
-		if b, err := json.Marshal(art); err == nil {
-			if err := s.store.Put(p.key, b); err != nil {
-				s.cfg.Log.Printf("daed: artifact store write failed for %s: %v", p.key, err)
-			}
-			s.replicate(p.key, b)
 		}
 	}
 	return art, nil

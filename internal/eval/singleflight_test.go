@@ -2,7 +2,6 @@ package eval
 
 import (
 	"context"
-	"errors"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -110,14 +109,15 @@ func TestCrossProcessCacheRace(t *testing.T) {
 	sameTraces(t, []*AppData{a}, []*AppData{c})
 }
 
-// TestResolveRetriesSharedTimeout exercises cachedRun's retry contract at
-// the resolve level: a follower that inherits the leader's timeout failure
-// while its own context is alive retries and completes on a fresh flight.
+// TestResolveRetriesSharedTimeout: a follower that inherits a timeout
+// failure from the collection it joined, while its own context is alive,
+// completes on a fresh collection instead of failing.
 func TestResolveRetriesSharedTimeout(t *testing.T) {
 	tc := NewTraceCache("")
+	ctx := context.Background()
 	leaderIn := make(chan struct{})
 	block := make(chan struct{})
-	go tc.resolve("k", func() (*runOutput, error) {
+	go tc.resolve(ctx, "k", func(context.Context) (*runOutput, error) {
 		close(leaderIn)
 		<-block
 		return nil, fault.New(fault.KindTimeout, "leader deadline expired")
@@ -126,20 +126,13 @@ func TestResolveRetriesSharedTimeout(t *testing.T) {
 
 	done := make(chan *runOutput, 1)
 	go func() {
-		ctx := context.Background()
-		for { // cachedRun's loop, verbatim
-			out, err, shared := tc.resolve("k", func() (*runOutput, error) {
-				return &runOutput{}, nil
-			})
-			if shared && err != nil && errors.Is(err, fault.ErrTimeout) && ctx.Err() == nil {
-				continue
-			}
-			if err != nil {
-				t.Errorf("follower failed permanently: %v", err)
-			}
-			done <- out
-			return
+		out, err := tc.resolve(ctx, "k", func(context.Context) (*runOutput, error) {
+			return &runOutput{}, nil
+		})
+		if err != nil {
+			t.Errorf("follower failed permanently: %v", err)
 		}
+		done <- out
 	}()
 	time.Sleep(100 * time.Millisecond) // let the follower park on the flight
 	close(block)

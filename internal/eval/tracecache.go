@@ -112,20 +112,22 @@ func contentSum(trace []byte, results map[string]ResultSummary) (string, error) 
 }
 
 // resolve returns the entry for key, computing it with collect on a miss.
-// Concurrent resolve calls for the same key collapse onto one in-flight
-// collection — exactly one simulation runs and exactly one disk envelope is
-// written; the other callers wait and share the result. Degraded outputs
-// are returned to every waiter but never stored (transient runtime faults
-// must not poison the cache). shared reports whether the result came from
-// another caller's in-flight collection rather than this caller's own —
-// shared failures may be scoped to the leader (its deadline, its
-// cancellation) and are the callers' cue to retry under their own context.
-func (tc *TraceCache) resolve(key string, collect func() (*runOutput, error)) (out *runOutput, err error, shared bool) {
-	out, err, leader := tc.flights.Do(key, func() (*runOutput, error) {
+// A memory hit returns at once. Concurrent misses on one key collapse onto a
+// single flight — exactly one simulation runs and exactly one disk envelope
+// is written; the other callers wait and share the result. collect runs
+// under the flight's context, so a collection survives any one caller's
+// cancellation while others still wait for it. Degraded outputs are
+// returned to every waiter but never stored (transient runtime faults must
+// not poison the cache).
+func (tc *TraceCache) resolve(ctx context.Context, key string, collect func(context.Context) (*runOutput, error)) (*runOutput, error) {
+	if out, ok := tc.memGet(key); ok {
+		return out, nil
+	}
+	out, err, _ := tc.flights.Do(ctx, key, func(ctx context.Context) (*runOutput, error) {
 		if out, ok := tc.get(key); ok {
 			return out, nil
 		}
-		out, err := collect()
+		out, err := collect(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -138,15 +140,20 @@ func (tc *TraceCache) resolve(key string, collect func() (*runOutput, error)) (o
 		tc.put(key, out)
 		return out, nil
 	})
-	return out, err, !leader
+	return out, err
+}
+
+// memGet returns the in-memory entry for key.
+func (tc *TraceCache) memGet(key string) (*runOutput, bool) {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	out, ok := tc.mem[key]
+	return out, ok
 }
 
 // get returns the entry for key, consulting memory first and then disk.
 func (tc *TraceCache) get(key string) (*runOutput, bool) {
-	tc.mu.Lock()
-	out, ok := tc.mem[key]
-	tc.mu.Unlock()
-	if ok {
+	if out, ok := tc.memGet(key); ok {
 		return out, true
 	}
 	if tc.dir == "" {
